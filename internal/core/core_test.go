@@ -228,3 +228,30 @@ func TestExecuteAccountsDRAMTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecuteFreesDMAWindow runs more executes of 16384 tokens than a
+// default 1 GiB quota could hold if each leaked its DMA window (one 2 MiB
+// page per run), then checks the domain's allocation is back where it
+// started.
+func TestExecuteFreesDMAWindow(t *testing.T) {
+	s := NewStack(nil)
+	app, _ := compileSpec(t, s, "lenet", workload.Small)
+	dep, err := s.Deploy(app, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain, ok := s.Cluster.Boards[dep.Blocks[0].Board].Mem.Domain(app.Name)
+	if !ok {
+		t.Fatal("deployment has no memory domain")
+	}
+	before := domain.Stats().AllocatedBytes
+	const runs = 640
+	for i := 0; i < runs; i++ {
+		if _, err := s.Execute(app, dep, 16384); err != nil {
+			t.Fatalf("execute %d: %v", i, err)
+		}
+	}
+	if after := domain.Stats().AllocatedBytes; after != before {
+		t.Fatalf("domain holds %d allocated bytes after %d executes, want %d", after, runs, before)
+	}
+}

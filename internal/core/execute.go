@@ -168,7 +168,7 @@ const tokenBytes = 64
 // the app's domain, translated and monitored accesses, and a transfer-time
 // estimate at the DRAM's bandwidth. Deployments without a memory domain
 // (unit tests driving the controller directly) skip this.
-func (s *Stack) dmaTraffic(app *CompiledApp, dep *sched.Deployment, stats *ExecutionStats) error {
+func (s *Stack) dmaTraffic(app *CompiledApp, dep *sched.Deployment, stats *ExecutionStats) (err error) {
 	board := s.Cluster.Boards[dep.Blocks[0].Board]
 	domain, ok := board.Mem.Domain(app.Name)
 	if !ok {
@@ -191,6 +191,13 @@ func (s *Stack) dmaTraffic(app *CompiledApp, dep *sched.Deployment, stats *Execu
 	if err != nil {
 		return fmt.Errorf("core: DMA buffer for %s: %w", app.Name, err)
 	}
+	// The window lives for this run only: every return path hands it back,
+	// or repeated runs would exhaust the domain's quota.
+	defer func() {
+		if ferr := board.Mem.Free(app.Name, va, window); ferr != nil && err == nil {
+			err = fmt.Errorf("core: freeing DMA buffer for %s: %w", app.Name, ferr)
+		}
+	}()
 	for moved := uint64(0); moved < bytes; moved += window {
 		n := window
 		if bytes-moved < n {

@@ -77,8 +77,10 @@ func NewStackWithOptions(c *cluster.Cluster, opts sched.Options) *Stack {
 type CompileOptions struct {
 	// Workers bounds the per-virtual-block parallelism of steps 4 and 5
 	// (local P&R and relocation validation): 0 means GOMAXPROCS, 1 forces
-	// the serial flow. The compiled artifacts are bit-identical across
-	// worker counts.
+	// the serial flow over blocks. Inside each block, placement still
+	// solves its two axes concurrently (x and y are independent systems),
+	// so even a one-block compile's solves use two cores. The compiled
+	// artifacts are bit-identical across worker counts.
 	Workers int
 	// NoCache bypasses the controller's compile cache for this compile:
 	// the full flow runs and its result is not stored.

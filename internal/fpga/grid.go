@@ -52,21 +52,25 @@ func (g *Grid) SitePos(s Site) (float64, float64) {
 // NearestSite returns the site of the given kind closest to the continuous
 // point (x, y), or an error if the grid has no columns of that kind.
 func (g *Grid) NearestSite(k ColumnKind, x, y float64) (Site, error) {
-	cols := g.ColumnsOfKind(k)
-	if len(cols) == 0 {
-		return Site{}, fmt.Errorf("fpga: grid has no %s columns", k)
-	}
-	bestCol := cols[0]
-	bestDist := -1.0
-	for _, c := range cols {
+	// Detailed placement asks this once per entity per pass, so walk the
+	// columns in place rather than collecting ColumnsOfKind.
+	bestCol := -1
+	bestDist := 0.0
+	for c, col := range g.Shape.Columns {
+		if col.Kind != k {
+			continue
+		}
 		d := x - float64(c)
 		if d < 0 {
 			d = -d
 		}
-		if bestDist < 0 || d < bestDist {
+		if bestCol < 0 || d < bestDist {
 			bestDist = d
 			bestCol = c
 		}
+	}
+	if bestCol < 0 {
+		return Site{}, fmt.Errorf("fpga: grid has no %s columns", k)
 	}
 	n := g.SitesInColumn(bestCol)
 	idx := int(y * float64(n) / float64(g.Rows))

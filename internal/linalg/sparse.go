@@ -33,38 +33,88 @@ type CSR struct {
 // FromTriplets assembles an n×n CSR matrix from coordinate entries, summing
 // duplicates. Entries outside the n×n range cause an error.
 func FromTriplets(n int, ts []Triplet) (*CSR, error) {
+	p, err := NewPattern(n, ts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Assemble(ts), nil
+}
+
+// Pattern is the assembly order of a triplet list: its entries sorted by
+// (row, col), cut into runs of equal coordinates. Every list with the same
+// coordinates in the same positions shares one Pattern, so a system whose
+// values change between solves while its structure stays fixed sorts its
+// coordinates once and then only re-sums values.
+type Pattern struct {
+	n int
+	// perm lists triplet indices in (row, col) order; runs[k]:runs[k+1]
+	// is the slice of perm holding the k-th distinct coordinate.
+	perm []int
+	runs []int
+}
+
+// NewPattern sorts the coordinates of ts for an n×n matrix. Entries outside
+// the n×n range cause an error.
+func NewPattern(n int, ts []Triplet) (*Pattern, error) {
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
 			return nil, fmt.Errorf("linalg: triplet (%d,%d) outside %d×%d", t.Row, t.Col, n, n)
 		}
 	}
-	sorted := make([]Triplet, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	perm := make([]int, len(ts))
+	for i := range perm {
+		perm[i] = i
+	}
+	// sort.Slice is not stable, so the order in which duplicates are
+	// summed is whatever its swaps leave. Permuting indices with the same
+	// comparator makes exactly the swaps that sorting the triplets
+	// themselves would, which keeps every sum bit-for-bit as it was.
+	sort.Slice(perm, func(i, j int) bool {
+		a, b := ts[perm[i]], ts[perm[j]]
+		if a.Row != b.Row {
+			return a.Row < b.Row
 		}
-		return sorted[i].Col < sorted[j].Col
+		return a.Col < b.Col
 	})
-	m := &CSR{N: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < len(sorted); {
-		j := i
+	runs := []int{0}
+	for i := 1; i < len(perm); i++ {
+		a, b := ts[perm[i-1]], ts[perm[i]]
+		if a.Row != b.Row || a.Col != b.Col {
+			runs = append(runs, i)
+		}
+	}
+	if len(perm) > 0 {
+		runs = append(runs, len(perm))
+	}
+	return &Pattern{n: n, perm: perm, runs: runs}, nil
+}
+
+// Assemble builds the CSR matrix of ts, which must have the coordinates the
+// Pattern was built from (values may differ). Duplicates are summed in
+// assembly order; coordinates whose sum is exactly zero are not stored.
+func (p *Pattern) Assemble(ts []Triplet) *CSR {
+	if len(ts) != len(p.perm) {
+		panic("linalg: Assemble triplet count differs from its pattern")
+	}
+	distinct := len(p.runs) - 1
+	m := &CSR{N: p.n, RowPtr: make([]int, p.n+1), Col: make([]int, 0, distinct), Val: make([]float64, 0, distinct)}
+	for k := 0; k < distinct; k++ {
+		run := p.perm[p.runs[k]:p.runs[k+1]]
 		v := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
+		for _, i := range run {
+			v += ts[i].Val
 		}
 		if v != 0 {
-			m.Col = append(m.Col, sorted[i].Col)
+			t := ts[run[0]]
+			m.Col = append(m.Col, t.Col)
 			m.Val = append(m.Val, v)
-			m.RowPtr[sorted[i].Row+1]++
+			m.RowPtr[t.Row+1]++
 		}
-		i = j
 	}
-	for r := 0; r < n; r++ {
+	for r := 0; r < p.n; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
 	}
-	return m, nil
+	return m
 }
 
 // NNZ returns the number of stored (non-zero) entries.

@@ -1,6 +1,9 @@
 package netlist
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file provides graph views and algorithms over a Netlist that the
 // packing and partitioning stages rely on: weighted cell adjacency,
@@ -27,8 +30,19 @@ func (n *Netlist) Adjacency(maxFanout int) [][]Edge {
 // widths). Wide buses are natural module interfaces; the packing stage uses
 // this view so clusters do not straddle them.
 func (n *Netlist) AdjacencyCapped(maxFanout, maxWidth int) [][]Edge {
-	type key struct{ a, b CellID }
-	weights := make(map[key]int)
+	// One (a<<32|b, width) pair per driver–sink connection with a < b.
+	// Sorting the pairs once groups duplicates for merging and fixes the
+	// order of every cell's list: a cell c first meets its neighbours
+	// a < c (pairs keyed a<<32|c, in ascending a) and then its neighbours
+	// b > c (pairs keyed c<<32|b, in ascending b). Each list therefore
+	// comes out sorted by neighbour, which every consumer that walks an
+	// edge list (packing BFS, partition clustering) relies on for
+	// deterministic placements and bitstream payloads.
+	type pair struct {
+		key   uint64
+		width int
+	}
+	var pairs []pair
 	for i := range n.Nets {
 		t := &n.Nets[i]
 		if t.Driver == NoCell {
@@ -48,20 +62,37 @@ func (n *Netlist) AdjacencyCapped(maxFanout, maxWidth int) [][]Edge {
 			if a > b {
 				a, b = b, a
 			}
-			weights[key{a, b}] += t.Width
+			pairs = append(pairs, pair{uint64(a)<<32 | uint64(b), t.Width})
 		}
 	}
-	adj := make([][]Edge, len(n.Cells))
-	for k, w := range weights {
-		adj[k.a] = append(adj[k.a], Edge{To: k.b, Weight: w})
-		adj[k.b] = append(adj[k.b], Edge{To: k.a, Weight: w})
+	slices.SortFunc(pairs, func(x, y pair) int { return cmp.Compare(x.key, y.key) })
+	// Merge duplicates in place and count each cell's degree.
+	merged := pairs[:0]
+	deg := make([]int, len(n.Cells))
+	for _, p := range pairs {
+		if k := len(merged) - 1; k >= 0 && merged[k].key == p.key {
+			merged[k].width += p.width
+			continue
+		}
+		merged = append(merged, p)
+		deg[p.key>>32]++
+		deg[uint32(p.key)]++
 	}
-	// The map range above emits edges in random order; every consumer that
-	// walks an edge list (packing BFS, partition clustering) would inherit
-	// that randomness, making placements — and bitstream payloads — vary
-	// run to run. Sorting by neighbour restores determinism.
-	for c := range adj {
-		sort.Slice(adj[c], func(i, j int) bool { return adj[c][i].To < adj[c][j].To })
+	// All lists share one backing array; each is capped at its own length
+	// so an append by a caller cannot run into its neighbour's list.
+	backing := make([]Edge, 2*len(merged))
+	adj := make([][]Edge, len(n.Cells))
+	off := 0
+	for c, d := range deg {
+		if d > 0 {
+			adj[c] = backing[off : off : off+d]
+			off += d
+		}
+	}
+	for _, p := range merged {
+		a, b := CellID(p.key>>32), CellID(uint32(p.key))
+		adj[a] = append(adj[a], Edge{To: b, Weight: p.width})
+		adj[b] = append(adj[b], Edge{To: a, Weight: p.width})
 	}
 	return adj
 }

@@ -66,6 +66,19 @@ func (h *mazeHeap) Pop() interface{} {
 	return n
 }
 
+// mazeScratch is the per-cell A* state of one routing grid. A block routes
+// many connections through the same grid, so the state is kept and
+// invalidated by epoch instead of reallocated and cleared per search: a
+// cell's gScore and cameFrom hold only when seen[cell] is the current
+// epoch. The start cell is the one seen cell with no cameFrom, and path
+// reconstruction stops there.
+type mazeScratch struct {
+	epoch    uint32
+	seen     []uint32
+	gScore   []float64
+	cameFrom []edgeRef
+}
+
 // mazeRoute finds a congestion-aware path from (x0,y0) to (x1,y1) and
 // returns its edges, or nil if the grid is degenerate. The caller commits
 // the path with commitPath.
@@ -73,20 +86,27 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 	if g.w == 0 || g.h == 0 {
 		return nil
 	}
-	idx := func(x, y int) int { return x*g.h + y }
-	gScore := make([]float64, g.w*g.h)
-	for i := range gScore {
-		gScore[i] = math.Inf(1)
+	if g.maze == nil {
+		cells := g.w * g.h
+		g.maze = &mazeScratch{seen: make([]uint32, cells), gScore: make([]float64, cells), cameFrom: make([]edgeRef, cells)}
 	}
-	cameFrom := make([]edgeRef, g.w*g.h)
-	hasFrom := make([]bool, g.w*g.h)
+	ms := g.maze
+	ms.epoch++
+	epoch := ms.epoch
+	idx := func(x, y int) int { return x*g.h + y }
+	gScore := func(i int) float64 {
+		if ms.seen[i] != epoch {
+			return math.Inf(1)
+		}
+		return ms.gScore[i]
+	}
 	heur := func(x, y int) float64 {
 		return math.Abs(float64(x-x1)) + math.Abs(float64(y-y1))
 	}
 	open := &mazeHeap{}
 	start := &mazeNode{x: x0, y: y0, g: 0, f: heur(x0, y0)}
 	heap.Push(open, start)
-	gScore[idx(x0, y0)] = 0
+	ms.gScore[idx(x0, y0)], ms.seen[idx(x0, y0)] = 0, epoch
 
 	type step struct {
 		dx, dy int
@@ -106,10 +126,10 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 			var path []edgeRef
 			x, y := x1, y1
 			for x != x0 || y != y0 {
-				e := cameFrom[idx(x, y)]
-				if !hasFrom[idx(x, y)] {
+				if ms.seen[idx(x, y)] != epoch {
 					break
 				}
+				e := ms.cameFrom[idx(x, y)]
 				path = append(path, e)
 				// Walk back across e.
 				if e.horiz {
@@ -128,7 +148,7 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 			}
 			return path
 		}
-		if cur.g > gScore[idx(cur.x, cur.y)] {
+		if cur.g > gScore(idx(cur.x, cur.y)) {
 			continue // stale entry
 		}
 		for _, st := range steps {
@@ -138,10 +158,8 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 				continue
 			}
 			ng := cur.g + mazeCost(g.demand(e), bits, capacity)
-			if ng < gScore[idx(nx, ny)] {
-				gScore[idx(nx, ny)] = ng
-				cameFrom[idx(nx, ny)] = e
-				hasFrom[idx(nx, ny)] = true
+			if i := idx(nx, ny); ng < gScore(i) {
+				ms.gScore[i], ms.cameFrom[i], ms.seen[i] = ng, e, epoch
 				heap.Push(open, &mazeNode{x: nx, y: ny, g: ng, f: ng + heur(nx, ny)})
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"vital/internal/fpga"
 	"vital/internal/linalg"
@@ -71,7 +72,7 @@ func PlaceBlockAdj(n *netlist.Netlist, cells []netlist.CellID, grid *fpga.Grid, 
 		}
 	}
 
-	p.place(n, adj)
+	p.place(adj)
 	return p, nil
 }
 
@@ -81,10 +82,13 @@ func PlaceBlockAdj(n *netlist.Netlist, cells []netlist.CellID, grid *fpga.Grid, 
 const placeIterations = 6
 
 // place runs the iterative analytic placement loop and keeps the best
-// legalized result by weighted wirelength.
-func (p *Placement) place(n *netlist.Netlist, adj [][]netlist.Edge) {
+// legalized result by weighted wirelength. The entity edges, and with them
+// the structure of the anchored rounds' linear system, are the same in
+// every round, so both are built once per block.
+func (p *Placement) place(adj [][]netlist.Edge) {
 	ew := p.entityEdges(adj)
-	x, y := p.analyticPositions(n, adj, nil, nil, 0)
+	x, y := p.spreadPositions(ew)
+	sys := p.newAnchoredSystem(ew)
 	bestWL := math.Inf(1)
 	bestSites := make([]fpga.Site, len(p.Sites))
 	anchorW := 0.02
@@ -98,12 +102,7 @@ func (p *Placement) place(n *netlist.Netlist, adj [][]netlist.Edge) {
 			break
 		}
 		// Anchor every entity to its legalized site and re-relax.
-		ax := make([]float64, len(p.Entities))
-		ay := make([]float64, len(p.Entities))
-		for i := range p.Entities {
-			ax[i], ay[i] = p.Grid.SitePos(p.Sites[i])
-		}
-		x, y = p.analyticPositions(n, adj, ax, ay, anchorW)
+		x, y = sys.positions(p, anchorW)
 		anchorW *= 2
 	}
 	copy(p.Sites, bestSites)
@@ -158,65 +157,132 @@ func (p *Placement) weightedWirelength(edges []entityEdge) float64 {
 	return wl
 }
 
-// analyticPositions computes continuous positions by quadratic placement:
-// minimize Σ w_ij ((x_i−x_j)² + (y_i−y_j)²), solved by conjugate gradients.
-// When ax/ay are nil, a few spread anchors break translation invariance
-// (first relaxation); otherwise every entity is anchored at (ax[i], ay[i])
-// with weight anchorW (the SimPL-style pull toward the last legalization).
-func (p *Placement) analyticPositions(n *netlist.Netlist, adj [][]netlist.Edge, ax, ay []float64, anchorW float64) ([]float64, []float64) {
-	ne := len(p.Entities)
-	x := make([]float64, ne)
-	y := make([]float64, ne)
-	if ne == 0 {
-		return x, y
-	}
-	var ts []linalg.Triplet
-	for _, e := range p.entityEdges(adj) {
+// The analytic rounds compute continuous positions by quadratic
+// placement: minimize Σ w_ij ((x_i−x_j)² + (y_i−y_j)²), solved by
+// conjugate gradients. The first round softly pulls a few spread anchors to
+// break translation invariance (spreadPositions); every later round
+// anchors each entity at its last legalized site with a growing weight
+// (the SimPL-style pull, anchoredSystem).
+
+// edgeTriplets returns the graph Laplacian of the entity edges, with spare
+// capacity for extra further terms.
+func edgeTriplets(ew []entityEdge, extra int) []linalg.Triplet {
+	ts := make([]linalg.Triplet, 0, 4*len(ew)+extra)
+	for _, e := range ew {
 		ts = append(ts,
 			linalg.Triplet{Row: e.a, Col: e.a, Val: e.w},
 			linalg.Triplet{Row: e.b, Col: e.b, Val: e.w},
 			linalg.Triplet{Row: e.a, Col: e.b, Val: -e.w},
 			linalg.Triplet{Row: e.b, Col: e.a, Val: -e.w})
 	}
+	return ts
+}
+
+// regularizerEps is the weight of the weak uniform pull toward the block
+// centre that keeps isolated entities centred.
+const regularizerEps = 1e-6
+
+// regularize appends the uniform regularizer's diagonal terms for ne
+// entities and returns its share of every x and y right-hand side.
+func (p *Placement) regularize(ts []linalg.Triplet, ne int) ([]linalg.Triplet, float64, float64) {
+	for i := 0; i < ne; i++ {
+		ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: regularizerEps})
+	}
+	return ts, regularizerEps * float64(p.Grid.Width) / 2, regularizerEps * float64(p.Grid.Rows) / 2
+}
+
+// spreadPositions is the first, unanchored relaxation: every kth entity
+// is softly pulled to a distinct spot on a grid, which fixes the global
+// position and spreads the relaxation.
+func (p *Placement) spreadPositions(ew []entityEdge) ([]float64, []float64) {
+	ne := len(p.Entities)
+	const spreadW = 0.05
+	stride := max(ne/64, 1)
+	ts := edgeTriplets(ew, (ne+stride-1)/stride+ne)
 	bx := make([]float64, ne)
 	by := make([]float64, ne)
 	W, H := float64(p.Grid.Width), float64(p.Grid.Rows)
-	if ax == nil {
-		// Spread anchors: every kth entity is softly pulled to a distinct
-		// spot on a grid, which fixes the global position and spreads the
-		// relaxation.
-		const spreadW = 0.05
-		stride := max(ne/64, 1)
-		slot := 0
-		for i := 0; i < ne; i += stride {
-			fx := (float64(slot%8) + 0.5) / 8 * W
-			fy := (float64(slot/8%8) + 0.5) / 8 * H
-			ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: spreadW})
-			bx[i] += spreadW * fx
-			by[i] += spreadW * fy
-			slot++
-		}
-	} else {
-		for i := 0; i < ne; i++ {
-			ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: anchorW})
-			bx[i] += anchorW * ax[i]
-			by[i] += anchorW * ay[i]
-		}
+	slot := 0
+	for i := 0; i < ne; i += stride {
+		fx := (float64(slot%8) + 0.5) / 8 * W
+		fy := (float64(slot/8%8) + 0.5) / 8 * H
+		ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: spreadW})
+		bx[i] += spreadW * fx
+		by[i] += spreadW * fy
+		slot++
 	}
-	// Weak uniform regularizer centers isolated entities.
-	const eps = 1e-6
-	for i := 0; i < ne; i++ {
-		ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: eps})
-		bx[i] += eps * W / 2
-		by[i] += eps * H / 2
+	ts, cx, cy := p.regularize(ts, ne)
+	for i := range bx {
+		bx[i] += cx
+		by[i] += cy
 	}
 	m, err := linalg.FromTriplets(ne, ts)
-	if err == nil {
-		// Convergence tolerance is modest: legalization absorbs residual
-		// error anyway.
-		_, _ = linalg.SolveCG(m, x, bx, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
-		_, _ = linalg.SolveCG(m, y, by, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
+	if err != nil {
+		panic(err) // every triplet indexes an entity of this block
 	}
+	return solveAxes(m, bx, by)
+}
+
+// anchoredSystem is the linear system of the anchored rounds: the edge
+// Laplacian, one anchor term per entity, then the regularizer. Only the
+// anchor weight changes from round to round, so the coordinates are
+// sorted once and each round re-sums values only.
+type anchoredSystem struct {
+	ts      []linalg.Triplet
+	anchors int // ts[anchors+i] anchors entity i
+	pattern *linalg.Pattern
+	cx, cy  float64 // the regularizer's share of each right-hand side
+}
+
+func (p *Placement) newAnchoredSystem(ew []entityEdge) *anchoredSystem {
+	ne := len(p.Entities)
+	s := &anchoredSystem{ts: edgeTriplets(ew, 2*ne)}
+	s.anchors = len(s.ts)
+	for i := 0; i < ne; i++ {
+		s.ts = append(s.ts, linalg.Triplet{Row: i, Col: i})
+	}
+	s.ts, s.cx, s.cy = p.regularize(s.ts, ne)
+	var err error
+	if s.pattern, err = linalg.NewPattern(ne, s.ts); err != nil {
+		panic(err) // every triplet indexes an entity of this block
+	}
+	return s
+}
+
+// positions solves one anchored round: every entity pulled toward its
+// current legalized site with weight anchorW.
+func (s *anchoredSystem) positions(p *Placement, anchorW float64) ([]float64, []float64) {
+	ne := len(p.Entities)
+	bx := make([]float64, ne)
+	by := make([]float64, ne)
+	for i := 0; i < ne; i++ {
+		s.ts[s.anchors+i].Val = anchorW
+		ax, ay := p.Grid.SitePos(p.Sites[i])
+		// The conversion rounds the product before the add, so no platform
+		// fuses the two into one multiply-add.
+		bx[i] = float64(anchorW*ax) + s.cx
+		by[i] = float64(anchorW*ay) + s.cy
+	}
+	return solveAxes(s.pattern.Assemble(s.ts), bx, by)
+}
+
+// solveAxes solves m·x = bx and m·y = by from a zero start, the y axis on
+// a second goroutine: the two solves share only the read-only matrix, so
+// the result is the same as solving them one after the other.
+func solveAxes(m *linalg.CSR, bx, by []float64) ([]float64, []float64) {
+	x := make([]float64, m.N)
+	y := make([]float64, m.N)
+	// Convergence tolerance is modest: legalization absorbs residual
+	// error anyway.
+	opt := linalg.CGOptions{Tol: 1e-4, MaxIter: 300}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = linalg.SolveCG(m, y, by, opt)
+	}()
+	_, _ = linalg.SolveCG(m, x, bx, opt)
+	wg.Wait()
 	return x, y
 }
 

@@ -26,9 +26,10 @@ type BlockResult struct {
 // LocalPNROptions tunes LocalPlaceAndRouteOpts.
 type LocalPNROptions struct {
 	// Workers bounds the per-block P&R concurrency: 0 means GOMAXPROCS,
-	// 1 forces the serial flow. Per-block results are deterministic and
-	// identical across worker counts — blocks share only read-only inputs
-	// (netlist, adjacency, grid).
+	// 1 forces the serial flow over blocks; each block still solves its
+	// two placement axes concurrently. Per-block results are deterministic
+	// and identical across worker counts — blocks share only read-only
+	// inputs (netlist, adjacency, grid).
 	Workers int
 }
 

@@ -48,6 +48,9 @@ type edgeGrid struct {
 	w, h  int
 	horiz []int // (w-1) × h edges: (x,y)→(x+1,y) at x*h+y
 	vert  []int // w × (h-1) edges: (x,y)→(x,y+1) at x*(h-1)+y
+	// maze is the A* search state, sized on first use and reused by every
+	// mazeRoute call on this grid.
+	maze *mazeScratch
 }
 
 func newEdgeGrid(w, h int) *edgeGrid {

@@ -19,14 +19,12 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // Scrape-time callbacks (GaugeFunc/CounterFunc) are evaluated here.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fams, sigs := r.collect()
-	for _, f := range fams {
+	for _, f := range r.collect() {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		for _, sig := range sigs[f.name] {
-			s := f.series[sig]
+		for _, s := range f.series {
 			switch {
 			case s.hist != nil:
 				writeHistogram(bw, f.name, s)

@@ -381,12 +381,11 @@ type FamilySnapshot struct {
 // Snapshot returns every family's current state, sorted by name with
 // series sorted by label signature — a deterministic JSON rendering.
 func (r *Registry) Snapshot() []FamilySnapshot {
-	fams, sigs := r.collect()
+	fams := r.collect()
 	out := make([]FamilySnapshot, 0, len(fams))
 	for _, f := range fams {
 		fs := FamilySnapshot{Name: f.name, Type: f.typ, Help: f.help}
-		for _, sig := range sigs[f.name] {
-			s := f.series[sig]
+		for _, s := range f.series {
 			ss := SeriesSnapshot{Labels: labelMap(s.labels)}
 			switch {
 			case s.hist != nil:
@@ -418,24 +417,34 @@ func labelMap(labels []Label) map[string]string {
 	return m
 }
 
+// familyView is one family as collect resolved it under r.mu: the family
+// plus its series in signature order. Readers walk the view, never the
+// family's series map, which lookup may be growing concurrently.
+type familyView struct {
+	*family
+	series []*series
+}
+
 // collect snapshots the family table in deterministic order: families
-// sorted by name, each family's series signatures sorted. Callers iterate
-// without holding r.mu (series handles are internally synchronized; fn
-// callbacks may take their own locks).
-func (r *Registry) collect() ([]*family, map[string][]string) {
+// sorted by name, each family's series sorted by label signature. Callers
+// iterate without holding r.mu (series handles are internally
+// synchronized; fn callbacks may take their own locks).
+func (r *Registry) collect() []familyView {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	sigs := make(map[string][]string, len(r.families))
-	for name, f := range r.families {
-		fams = append(fams, f)
-		ss := make([]string, 0, len(f.series))
+	views := make([]familyView, 0, len(r.families))
+	for _, f := range r.families {
+		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
-			ss = append(ss, sig)
+			sigs = append(sigs, sig)
 		}
-		sort.Strings(ss)
-		sigs[name] = ss
+		sort.Strings(sigs)
+		ss := make([]*series, len(sigs))
+		for i, sig := range sigs {
+			ss[i] = f.series[sig]
+		}
+		views = append(views, familyView{family: f, series: ss})
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams, sigs
+	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
+	return views
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -233,5 +235,41 @@ func TestRegistryConcurrentLazyCreate(t *testing.T) {
 	wg.Wait()
 	if got := reg.Counter("lazy_total", "", L("code", "200")).Value(); got != workers*50 {
 		t.Fatalf("counter = %d, want %d", got, workers*50)
+	}
+}
+
+// TestRegistryReadersWhileMinting runs every reader (Samples,
+// WritePrometheus, Snapshot) while another goroutine mints new series in
+// the families being read — a scrape overlapping new tenants. Under -race
+// this fails if a reader touches a family's series map after releasing
+// the registry lock.
+func TestRegistryReadersWhileMinting(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("mint_total", "", L("tenant", "t0")).Inc()
+	reg.Histogram("mint_seconds", "", nil, L("tenant", "t0")).Observe(0.01)
+	const minted = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= minted; i++ {
+			tenant := L("tenant", "t"+strconv.Itoa(i))
+			reg.Counter("mint_total", "", tenant).Inc()
+			reg.Histogram("mint_seconds", "", nil, tenant).Observe(0.01)
+		}
+	}()
+	for minting := true; minting; {
+		select {
+		case <-done:
+			minting = false
+		default:
+		}
+		reg.Samples()
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		reg.Snapshot()
+	}
+	if n := len(reg.Snapshot()[0].Series); n != minted+1 {
+		t.Fatalf("mint_seconds has %d series, want %d", n, minted+1)
 	}
 }

@@ -20,11 +20,9 @@ type Sample struct {
 // (GaugeFunc/CounterFunc) are evaluated here, outside the registry lock —
 // the same snapshot-then-evaluate idiom as WritePrometheus.
 func (r *Registry) Samples() []Sample {
-	fams, sigs := r.collect()
 	var out []Sample
-	for _, f := range fams {
-		for _, sig := range sigs[f.name] {
-			s := f.series[sig]
+	for _, f := range r.collect() {
+		for _, s := range f.series {
 			switch {
 			case s.hist != nil:
 				cum, count, sum := s.hist.snapshot()
