@@ -33,10 +33,10 @@ schedsoak:
 # gateway + backend in-process, a few dozen tenants over a skewed design
 # mix, asserting compile dedup, audit parity and queue backpressure. The
 # latency ceilings are relaxed relative to the full acceptance run
-# (`go run ./cmd/vitalsoak` with defaults) because the race detector and
-# shared CI runners tax wall clock, not correctness.
+# (`go run ./cmd/vitalharness soak` with defaults) because the race
+# detector and shared CI runners tax wall clock, not correctness.
 soaksmoke:
-	$(GO) run -race ./cmd/vitalsoak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
+	$(GO) run -race ./cmd/vitalharness soak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
 
 # vet plus the repo's own analyzers: the per-package checks (lockcheck,
 # mapdeterminism, errwrap, durationliteral) and the whole-program
@@ -60,40 +60,46 @@ lint-sarif:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# One-iteration benchmarks: cheap CI guard that the harness still builds
-# and runs, including the 10k-board allocator-scaling benchmark (its
-# sublinearity is asserted from the recorded BENCH_*.json snapshots).
+# One-iteration benchmarks: cheap CI guard that the benchmarks still
+# build and run without failing. One iteration each of the Table 2
+# compile and the compile-cache hit, and of the allocator churn at 100,
+# 1k and 10k boards, whose free-run index must verify clean afterwards.
+# Timing is not checked: nothing asserts the 10k-board cost is
+# sublinear.
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 
-# Observability smoke: boot an in-process vitald, deploy over HTTP, scrape
-# the Prometheus exposition through the strict validator, and fetch the
-# deploy trace. Exits non-zero on the first broken surface.
+# The smoke targets below are subcommands of cmd/vitalharness, which
+# boots vitald's stack and a vitalgw gateway in-process on loopback
+# (internal/stacktest) and exits non-zero on the first broken surface.
+#
+# Observability smoke: deploy over HTTP, scrape the Prometheus
+# exposition through the strict validator, and fetch the deploy trace.
 obssmoke:
-	$(GO) run ./cmd/obssmoke -phase core
+	$(GO) run ./cmd/vitalharness core
 
 # Alerting smoke: placement-quality report, channel-traffic metrics from a
 # live execution, then a board fault observed end to end — fault,
 # evacuation and firing alert all arriving over the SSE event stream.
 alertsmoke:
-	$(GO) run ./cmd/obssmoke -phase alerts
+	$(GO) run ./cmd/vitalharness alerts
 
-# Tracing + SLO smoke: a vitalgw gateway in front of the backend, one
+# Tracing + SLO smoke: through the gateway in front of the backend, one
 # submit reassembled as a single contiguous cross-process trace (gateway
 # admission → compile → queue wait → worker deploy), tenant RED/SLO
 # series with exemplars in the exposition, then a backend outage driving
 # a multi-window burn-rate alert to firing on GET /slo.
 tracesmoke:
-	$(GO) run ./cmd/obssmoke -phase trace
+	$(GO) run ./cmd/vitalharness trace
 
-# Replay smoke: drive the bundled example tenant mix through an
-# in-process gateway+backend stack under the race detector, scraping both
+# Replay smoke: drive the bundled example tenant mix through the
+# gateway+backend stack under the race detector, scraping both
 # tiers into a TSDB, then assert (-check) that every *_total series is
 # monotone, the utilization curve is non-empty with a nonzero peak, and
 # both tiers' Prometheus expositions — vital_tsdb_* self-metrics
 # included — pass the strict validator.
 replaysmoke:
-	$(GO) run -race ./cmd/vitalreplay -trace cmd/vitalreplay/testdata/example-trace.json -speed 4 -check -out -
+	$(GO) run -race ./cmd/vitalharness replay -trace cmd/vitalharness/testdata/example-trace.json -speed 4 -check -out -
 
 clean:
 	$(GO) clean ./...

@@ -104,13 +104,13 @@ func NewHandler(ct *Controller) http.Handler {
 	}
 
 	handle("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ct.Status())
+		httpapi.WriteJSON(w, http.StatusOK, ct.Status())
 	})
 
 	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		format, err := httpapi.QueryEnum(r, "format", "json", "json", "prometheus")
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if format == "prometheus" {
@@ -118,7 +118,7 @@ func NewHandler(ct *Controller) http.Handler {
 			_ = ct.Reg.WritePrometheus(w)
 			return
 		}
-		writeJSON(w, http.StatusOK, ct.Metrics())
+		httpapi.WriteJSON(w, http.StatusOK, ct.Metrics())
 	})
 
 	handle("GET /query", func(w http.ResponseWriter, r *http.Request) {
@@ -128,14 +128,14 @@ func NewHandler(ct *Controller) http.Handler {
 	handle("GET /traces", func(w http.ResponseWriter, r *http.Request) {
 		max, err := httpapi.QueryInt(r, "max", 50)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// ?since= accepts an RFC 3339 timestamp or a Go duration (lookback
 		// from now): traces that started before the cutoff are dropped.
 		since, err := httpapi.QuerySince(r, "since")
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// ?app= matches the root span's app attribute exactly or by prefix,
@@ -155,22 +155,22 @@ func NewHandler(ct *Controller) http.Handler {
 			}
 			traces = append(traces, ts)
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"traces": traces})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{"traces": traces})
 	})
 
 	handle("GET /trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		td, ok := ct.Tracer.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q (retention is the %d most recent)", r.PathValue("id"), telemetry.DefaultTraceLimit))
+			httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("no trace %q (retention is the %d most recent)", r.PathValue("id"), telemetry.DefaultTraceLimit))
 			return
 		}
-		writeJSON(w, http.StatusOK, td)
+		httpapi.WriteJSON(w, http.StatusOK, td)
 	})
 
 	handle("GET /events", func(w http.ResponseWriter, r *http.Request) {
 		max, err := httpapi.QueryInt(r, "max", 256)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// max=0 means "everything"; either way the log's own retention
@@ -178,23 +178,23 @@ func NewHandler(ct *Controller) http.Handler {
 		if limit := ct.EventLimit(); max == 0 || max > limit {
 			max = limit
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"events": ct.Events(max), "max": max})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{"events": ct.Events(max), "max": max})
 	})
 
 	handle("GET /events/stream", func(w http.ResponseWriter, r *http.Request) {
 		kind, err := httpapi.QueryEnum(r, "kind", "", eventKindNames()...)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		heartbeat, err := httpapi.QueryDuration(r, "heartbeat", defaultHeartbeat)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		fl, ok := w.(http.Flusher)
 		if !ok {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
+			httpapi.WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 			return
 		}
 		// Subscribe before writing headers: events appended from here on
@@ -237,20 +237,20 @@ func NewHandler(ct *Controller) http.Handler {
 		if app := r.URL.Query().Get("app"); app != "" {
 			sc, err := ct.PlacementScore(app)
 			if err != nil {
-				writeError(w, http.StatusNotFound, err)
+				httpapi.WriteError(w, http.StatusNotFound, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, sc)
+			httpapi.WriteJSON(w, http.StatusOK, sc)
 			return
 		}
-		writeJSON(w, http.StatusOK, ct.Placement())
+		httpapi.WriteJSON(w, http.StatusOK, ct.Placement())
 	})
 
 	handle("GET /alerts", func(w http.ResponseWriter, r *http.Request) {
 		// Reading alerts evaluates them: transitions land in the audit log
 		// (and the SSE stream) even without the vitald evaluation ticker.
 		ct.EvalAlerts()
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{
 			"alerts": ct.AlertStatus(),
 			"firing": ct.Alerts.Firing(),
 		})
@@ -263,16 +263,16 @@ func NewHandler(ct *Controller) http.Handler {
 			apps = append(apps, a)
 		}
 		sort.Strings(apps)
-		writeJSON(w, http.StatusOK, map[string]interface{}{"apps": apps})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{"apps": apps})
 	})
 
 	handle("GET /health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ct.Health())
+		httpapi.WriteJSON(w, http.StatusOK, ct.Health())
 	})
 
 	handle("GET /cache", func(w http.ResponseWriter, r *http.Request) {
 		st := ct.CacheStats()
-		writeJSON(w, http.StatusOK, map[string]interface{}{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{
 			"hits":     st.Hits,
 			"misses":   st.Misses,
 			"entries":  st.Entries,
@@ -286,38 +286,38 @@ func NewHandler(ct *Controller) http.Handler {
 		if !rep.OK() {
 			code = http.StatusConflict
 		}
-		writeJSON(w, code, map[string]interface{}{
+		httpapi.WriteJSON(w, code, map[string]interface{}{
 			"ok":         rep.OK(),
 			"violations": rep.Violations,
 		})
 	})
 
 	handle("GET /queue", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ct.async.Stats())
+		httpapi.WriteJSON(w, http.StatusOK, ct.async.Stats())
 	})
 
 	handle("GET /deployments", func(w http.ResponseWriter, r *http.Request) {
 		max, err := httpapi.QueryInt(r, "max", 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		state, err := httpapi.QueryEnum(r, "state", "", ticketStateNames()...)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		tickets := ct.async.List(TicketState(state), max)
-		writeJSON(w, http.StatusOK, map[string]interface{}{"deployments": tickets, "max": max})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{"deployments": tickets, "max": max})
 	})
 
 	handle("GET /deployments/{id}", func(w http.ResponseWriter, r *http.Request) {
 		t, ok := ct.async.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no deployment ticket %q (finished tickets are retained up to %d)", r.PathValue("id"), maxRetainedTickets))
+			httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("no deployment ticket %q (finished tickets are retained up to %d)", r.PathValue("id"), maxRetainedTickets))
 			return
 		}
-		writeJSON(w, http.StatusOK, t)
+		httpapi.WriteJSON(w, http.StatusOK, t)
 	})
 
 	type deployReq struct {
@@ -327,22 +327,22 @@ func NewHandler(ct *Controller) http.Handler {
 	handle("POST /deploy", func(w http.ResponseWriter, r *http.Request) {
 		async, err := httpapi.QueryBool(r, "async")
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		prioName, err := httpapi.QueryEnum(r, "priority", string(PriorityLatency),
 			string(PriorityLatency), string(PriorityBatch))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		var req deployReq
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 			return
 		}
 		if req.App == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing app name"))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("missing app name"))
 			return
 		}
 		defaulted := req.MemQuotaBytes == 0
@@ -353,7 +353,7 @@ func NewHandler(ct *Controller) http.Handler {
 			// Fail fast on an app the controller cannot possibly deploy, so
 			// a typo'd name doesn't consume a queue slot and a worker turn.
 			if _, ok := ct.Bitstreams.Lookup(req.App); !ok {
-				writeError(w, http.StatusNotFound, fmt.Errorf("sched: no compiled bitstreams for %q", req.App))
+				httpapi.WriteError(w, http.StatusNotFound, fmt.Errorf("sched: no compiled bitstreams for %q", req.App))
 				return
 			}
 			ticket, err := ct.async.Enqueue(r.Context(), req.App, req.MemQuotaBytes, defaulted, Priority(prioName))
@@ -361,10 +361,10 @@ func NewHandler(ct *Controller) http.Handler {
 				// The queue is the backpressure boundary: shed with 429 and
 				// a Retry-After hint instead of buffering without bound.
 				w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfterSeconds))
-				writeError(w, http.StatusTooManyRequests, err)
+				httpapi.WriteError(w, http.StatusTooManyRequests, err)
 				return
 			}
-			writeJSON(w, http.StatusAccepted, map[string]interface{}{"ticket": ticket})
+			httpapi.WriteJSON(w, http.StatusAccepted, map[string]interface{}{"ticket": ticket})
 			return
 		}
 		dep, err := ct.DeployCtx(r.Context(), req.App, req.MemQuotaBytes)
@@ -375,10 +375,10 @@ func NewHandler(ct *Controller) http.Handler {
 			if errors.Is(err, ErrNoCapacity) {
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, err)
+			httpapi.WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, summarize(dep, req.MemQuotaBytes, defaulted))
+		httpapi.WriteJSON(w, http.StatusOK, summarize(dep, req.MemQuotaBytes, defaulted))
 	})
 
 	type undeployReq struct {
@@ -387,14 +387,14 @@ func NewHandler(ct *Controller) http.Handler {
 	handle("POST /undeploy", func(w http.ResponseWriter, r *http.Request) {
 		var req undeployReq
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 			return
 		}
 		if err := ct.Undeploy(req.App); err != nil {
-			writeError(w, http.StatusNotFound, err)
+			httpapi.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"undeployed": req.App})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"undeployed": req.App})
 	})
 
 	type faultReq struct {
@@ -404,24 +404,24 @@ func NewHandler(ct *Controller) http.Handler {
 	handle("POST /fault", func(w http.ResponseWriter, r *http.Request) {
 		var req faultReq
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 			return
 		}
 		if req.Board == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing board number"))
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("missing board number"))
 			return
 		}
 		kind, err := ParseFaultKind(req.Kind)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		ev, err := ct.InjectFault(*req.Board, kind)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ev)
+		httpapi.WriteJSON(w, http.StatusOK, ev)
 	})
 
 	return mux
@@ -446,9 +446,3 @@ func ticketStateNames() []string {
 	}
 	return out
 }
-
-// writeJSON and writeError alias the shared helpers so every route in this
-// package answers with the same shapes as the gateway tier.
-func writeJSON(w http.ResponseWriter, code int, v interface{}) { httpapi.WriteJSON(w, code, v) }
-
-func writeError(w http.ResponseWriter, code int, err error) { httpapi.WriteError(w, code, err) }
